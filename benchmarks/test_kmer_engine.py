@@ -1,7 +1,8 @@
 """Packed k-mer engine speedup on the Fig. 4 Ray-scaling workload.
 
 The packed-integer rewrite (2-bit codes in uint64 words, batched
-searchsorted lookups, frontier-based unitig walking) is a pure host-side
+binary-search lookups, unitig walks over a per-table successor array)
+is a pure host-side
 optimisation: every virtual quantity — charged work, collective bytes,
 message counts, peak memory — is bit-identical to the dict/bytes engine
 (asserted here and in tests/assembly/test_parity.py).  What changes is

@@ -7,12 +7,12 @@ four possible single-base extensions — the classic hash-based DBG
 
 K-mers live in the 2-bit packed representation of
 :mod:`repro.assembly.packed`: the table stores sorted packed rows with an
-aligned count column, membership and coverage are batched
-``np.searchsorted`` probes, and :func:`extract_unitigs` advances *arrays*
-of concurrent walks per step instead of probing one Python-level k-mer at
-a time.  The packed layout is order-isomorphic to the historical bytes
-representation, and the frontier walker is step-for-step equivalent to
-the sequential one (``repro.assembly.reference_impl``), so contigs, walk
+aligned count column, and membership and coverage are batched binary
+searches over those rows.  :func:`extract_unitigs` does not probe per
+step: one batched adjacency pass per table (four probes over every
+oriented k-mer) yields a successor array, cached on the table, and each
+walk is then a plain integer chase through it.  The walk is the
+sequential one of ``repro.assembly.reference_impl``, so contigs, walk
 step counts and emission order are bit-identical to the bytes-dict
 engine — only real wall-time changes.
 
@@ -55,8 +55,8 @@ class KmerTable:
         self.words = packedmod.words_for(k)
         self._packed = np.zeros((0, self.words), dtype=np.uint64)
         self._counts = np.zeros(0, dtype=np.int64)
-        self._keys = packedmod.keys(self._packed, k)
         self._dict: dict[bytes, int] | None = None
+        self._links: tuple[np.ndarray, np.ndarray] | None = None
         if counts:
             self.add_counts(counts)
 
@@ -78,18 +78,15 @@ class KmerTable:
         """
         t = cls(k)
         rows = np.asarray(packed_rows, dtype=np.uint64).reshape(-1, t.words)
-        key_arr = packedmod.keys(rows, k)
         if presorted:
             if packedmod.debug_assert_sorted_enabled():
-                packedmod.assert_sorted(key_arr)
+                packedmod.assert_sorted(packedmod.keys(rows, k))
             t._packed = np.ascontiguousarray(rows)
             t._counts = np.asarray(counts, dtype=np.int64)
-            t._keys = key_arr
             return t
-        order = np.argsort(key_arr, kind="stable")
+        order = np.argsort(packedmod.keys(rows, k), kind="stable")
         t._packed = np.ascontiguousarray(rows[order])
         t._counts = np.asarray(counts, dtype=np.int64)[order]
-        t._keys = key_arr[order]
         return t
 
     # -- views -------------------------------------------------------------
@@ -98,11 +95,6 @@ class KmerTable:
     def packed(self) -> np.ndarray:
         """Sorted canonical rows, ``(n, W)`` uint64 (do not mutate)."""
         return self._packed
-
-    @property
-    def key_array(self) -> np.ndarray:
-        """Sorted 1-D key array aligned with :attr:`packed`."""
-        return self._keys
 
     @property
     def count_array(self) -> np.ndarray:
@@ -123,28 +115,20 @@ class KmerTable:
 
     # -- batched lookups ----------------------------------------------------
 
-    def lookup_keys(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact-key membership + coverage for an array of packed keys."""
-        n = self._keys.shape[0]
-        m = query.shape[0]
-        if n == 0 or m == 0:
-            return np.zeros(m, dtype=bool), np.zeros(m, dtype=np.int64)
-        idx = np.searchsorted(self._keys, query)
-        idxc = np.minimum(idx, n - 1)
-        found = (idx < n) & (self._keys[idxc] == query)
-        cov = np.where(found, self._counts[idxc], 0)
-        return found, cov
-
-    def has_keys(self, query: np.ndarray) -> np.ndarray:
-        """Exact-key membership only."""
-        return self.lookup_keys(query)[0]
+    def find_rows(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact membership of packed ``(m, W)`` rows, and each found
+        row's index into :attr:`packed` (see :func:`packed.find_rows`)."""
+        query = np.asarray(query, dtype=np.uint64).reshape(-1, self.words)
+        return packedmod.find_rows(self._packed, query)
 
     # -- single-k-mer compatibility API ------------------------------------
 
     def _lookup_oriented(self, oriented: bytes) -> tuple[bool, int]:
         row = packedmod.canonicalize(packedmod.pack_bytes_kmer(oriented), self.k)
-        found, cov = self.lookup_keys(packedmod.keys(row, self.k))
-        return bool(found[0]), int(cov[0])
+        found, idx = self.find_rows(row)
+        if not found[0]:
+            return False, 0
+        return True, int(self._counts[idx[0]])
 
     def __contains__(self, oriented: bytes) -> bool:
         return self._lookup_oriented(oriented)[0]
@@ -172,8 +156,8 @@ class KmerTable:
         np.add.at(summed, inverse, all_cnt)
         self._packed = np.ascontiguousarray(all_rows[first])
         self._counts = summed
-        self._keys = uniq
         self._dict = None
+        self._links = None
 
     def drop_below(self, min_count: int) -> int:
         """Remove k-mers with coverage below ``min_count``; returns #removed."""
@@ -182,8 +166,8 @@ class KmerTable:
         if removed:
             self._packed = np.ascontiguousarray(self._packed[keep])
             self._counts = self._counts[keep]
-            self._keys = self._keys[keep]
             self._dict = None
+            self._links = None
         return removed
 
     def memory_bytes(self) -> int:
@@ -192,15 +176,52 @@ class KmerTable:
 
     # -- adjacency ---------------------------------------------------------
 
+    def unitig_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Successor arrays ``(link, base)`` over the *oriented* nodes.
+
+        Row ``i`` is two nodes: ``2i`` (the stored canonical k-mer) and
+        ``2i + 1`` (its reverse complement).  Four batched probes over
+        all ``2n`` oriented rows (``extend_right`` by each base) give
+        every node's out-degree, its successor's id and that successor's
+        base.  A node's in-degree is the out-degree of its reverse
+        complement (``v ^ 1``), so ``link[v]`` is the successor id when
+        the step stays inside a unitig (out(v) = 1 and in(succ) = 1) and
+        -1 otherwise; ``base[v]`` is the base that step appends.
+
+        Computed once per table contents (``add_counts`` and
+        ``drop_below`` invalidate it), so the per-rank walks of the
+        distributed assemblers share one pass.
+        """
+        if self._links is not None:
+            return self._links
+        k = self.k
+        n = len(self)
+        nodes = np.empty((2 * n, self.words), dtype=np.uint64)
+        nodes[0::2] = self._packed
+        nodes[1::2] = packedmod.revcomp(self._packed, k)
+        out_deg = np.zeros(2 * n, dtype=np.int8)
+        succ = np.zeros(2 * n, dtype=np.int64)
+        base = np.zeros(2 * n, dtype=np.uint8)
+        for b in _BASES:
+            ext = packedmod.extend_right(nodes, k, b)
+            canon = packedmod.canonicalize(ext, k)
+            found, row = self.find_rows(canon)
+            node = 2 * row + (ext != canon).any(axis=1)
+            out_deg += found
+            succ[found] = node[found]
+            base[found] = b
+        one = out_deg == 1
+        link = np.where(one & one[succ ^ 1], succ, -1).astype(np.int32)
+        self._links = (link, base)
+        return self._links
+
     def successors(self, oriented: bytes) -> list[bytes]:
         """Oriented k-mers reachable by appending one base."""
         row = packedmod.pack_bytes_kmer(oriented)
         ext = np.concatenate(
             [packedmod.extend_right(row, self.k, b) for b in _BASES], axis=0
         )
-        found = self.has_keys(
-            packedmod.keys(packedmod.canonicalize(ext, self.k), self.k)
-        )
+        found = self.find_rows(packedmod.canonicalize(ext, self.k))[0]
         suffix = oriented[1:]
         return [suffix + bytes([b]) for b in _BASES if found[b]]
 
@@ -210,9 +231,7 @@ class KmerTable:
         ext = np.concatenate(
             [packedmod.extend_left(row, self.k, b) for b in _BASES], axis=0
         )
-        found = self.has_keys(
-            packedmod.keys(packedmod.canonicalize(ext, self.k), self.k)
-        )
+        found = self.find_rows(packedmod.canonicalize(ext, self.k))[0]
         prefix = oriented[:-1]
         return [bytes([b]) + prefix for b in _BASES if found[b]]
 
@@ -264,146 +283,6 @@ class Unitig:
         return alphabet.decode(self.codes)
 
 
-class _WalkBatch:
-    """State of all concurrent walks launched from one seed batch."""
-
-    def __init__(self, table: KmerTable, starts: np.ndarray) -> None:
-        k = table.k
-        m = starts.shape[0]
-        self.table = table
-        self.starts = starts
-        self.start_keys = packedmod.key_list(starts, k)
-        _, cov0 = table.lookup_keys(packedmod.keys(starts, k))
-        self.cov_sum = cov0.astype(np.float64)
-        self.n_kmers = np.ones(m, dtype=np.int64)
-        self.right: list[list[int]] = [[] for _ in range(m)]
-        self.left: list[list[int]] = [[] for _ in range(m)]
-        #: Per-walk set of canonical keys this walk has entered — needed
-        #: for cycle termination and palindromic hairpin re-entry, which
-        #: can strike at any path position.
-        self.own: list[set] = [set() for _ in range(m)]
-        #: canonical key -> lowest walk index that entered the node.  Two
-        #: walks can only ever meet when they seed the same unitig (the
-        #: predecessor-uniqueness check blocks all cross-unitig entry),
-        #: so on contact the higher-index walk is redundant — exactly the
-        #: walk the sequential reference would have skipped — and is
-        #: killed, keeping total work linear in the table size.
-        self.claimed: dict = {}
-        self.alive = np.ones(m, dtype=bool)
-        self._start_codes: np.ndarray | None = None
-        for w, key in enumerate(self.start_keys):
-            if key in self.claimed:
-                self.alive[w] = False  # duplicate seed
-            else:
-                self.claimed[key] = w
-                self.own[w].add(key)
-
-    def run(self) -> None:
-        k = self.table.k
-        live = np.flatnonzero(self.alive)
-        self._extend(self.starts[live], live, self.right)
-        live = np.flatnonzero(self.alive)
-        self._extend(packedmod.revcomp(self.starts[live], k), live, self.left)
-
-    def _extend(
-        self,
-        cur: np.ndarray,
-        walk_ids: np.ndarray,
-        chains: list[list[int]],
-    ) -> None:
-        """Advance all walks rightward in lockstep until each breaks."""
-        table = self.table
-        k = table.k
-        while walk_ids.size:
-            mask = self.alive[walk_ids]
-            if not mask.all():
-                walk_ids = walk_ids[mask]
-                cur = cur[mask]
-                if walk_ids.size == 0:
-                    return
-            a = walk_ids.size
-            # Batched successor probe: 4 candidate extensions per walk.
-            ext = np.stack(
-                [packedmod.extend_right(cur, k, b) for b in _BASES], axis=1
-            )
-            canon_keys = packedmod.keys(
-                packedmod.canonicalize(ext.reshape(a * 4, -1), k), k
-            )
-            found, cov = table.lookup_keys(canon_keys)
-            found = found.reshape(a, 4)
-            ok = found.sum(axis=1) == 1
-            if not ok.any():
-                return
-            rows = np.arange(a)
-            b_next = np.argmax(found, axis=1)
-            nxt = ext[rows, b_next]
-            nxt_keys = canon_keys.reshape(a, 4)[rows, b_next].tolist()
-            nxt_cov = cov.reshape(a, 4)[rows, b_next]
-            # Own-visited break (loop / palindromic hairpin re-entry).
-            for j in np.flatnonzero(ok):
-                if nxt_keys[j] in self.own[walk_ids[j]]:
-                    ok[j] = False
-            # Batched predecessor-uniqueness probe on the survivors.
-            cand = np.flatnonzero(ok)
-            if cand.size == 0:
-                return
-            pext = np.stack(
-                [packedmod.extend_left(nxt[cand], k, b) for b in _BASES],
-                axis=1,
-            )
-            pfound = table.has_keys(
-                packedmod.keys(
-                    packedmod.canonicalize(pext.reshape(cand.size * 4, -1), k),
-                    k,
-                )
-            )
-            ok[cand[pfound.reshape(cand.size, 4).sum(axis=1) != 1]] = False
-            # Commit surviving steps in walk order, resolving claims.
-            surv: list[int] = []
-            for j in np.flatnonzero(ok):
-                wid = int(walk_ids[j])
-                if not self.alive[wid]:
-                    continue
-                key = nxt_keys[j]
-                holder = self.claimed.get(key)
-                if holder is not None and holder != wid:
-                    if holder < wid:
-                        self.alive[wid] = False
-                        continue
-                    self.alive[holder] = False
-                self.claimed[key] = wid
-                chains[wid].append(int(b_next[j]))
-                self.own[wid].add(key)
-                self.cov_sum[wid] += nxt_cov[j]
-                self.n_kmers[wid] += 1
-                surv.append(j)
-            if not surv:
-                return
-            keep = np.array(surv, dtype=np.int64)
-            cur = nxt[keep]
-            walk_ids = walk_ids[keep]
-
-    def codes_of(self, w: int) -> np.ndarray:
-        """Assembled base codes of walk ``w`` (left + seed + right)."""
-        if self._start_codes is None:
-            # One batched unpack for all seeds, on first emission.
-            self._start_codes = packedmod.unpack(self.starts, self.table.k)
-        start_codes = self._start_codes[w]
-        parts = []
-        if self.left[w]:
-            parts.append(
-                np.array(
-                    [3 - b for b in reversed(self.left[w])], dtype=np.uint8
-                )
-            )
-        parts.append(start_codes)
-        if self.right[w]:
-            parts.append(np.array(self.right[w], dtype=np.uint8))
-        if len(parts) == 1:
-            return start_codes.copy()
-        return np.concatenate(parts)
-
-
 def extract_unitigs(
     table: KmerTable,
     seeds: Iterable[bytes] | np.ndarray | None = None,
@@ -418,9 +297,12 @@ def extract_unitigs(
     ``visited`` may be shared across calls so that different rank shards
     never emit the same unitig twice; it holds packed key scalars.
 
-    All walks advance in lockstep with batched probes, and the result is
-    provably identical — unitigs, orientation, emission order, step
-    count — to walking the seeds one at a time.
+    Each seed walks right from its forward node, then left from its
+    reverse complement, following the table's cached successor array
+    (:meth:`KmerTable.unitig_links`) until a link breaks or reaches a
+    k-mer already walked — the sequential walk of
+    ``repro.assembly.reference_impl``, so unitigs, orientation, emission
+    order and step count are identical to it.
     """
     if visited is None:
         visited = set()
@@ -439,34 +321,66 @@ def extract_unitigs(
         else:
             seed_rows = np.zeros((0, table.words), dtype=np.uint64)
 
-    # A seed must be present in the table under its exact (canonical) key
-    # and not already consumed by an earlier walk.
-    seed_keys = packedmod.keys(seed_rows, k)
-    in_table = table.has_keys(seed_keys)
-    key_scalars = seed_keys.tolist()
-    keep = [
-        i
-        for i in range(seed_rows.shape[0])
-        if in_table[i] and key_scalars[i] not in visited
-    ]
-    if not keep:
+    # A seed must be present in the table under its exact (canonical) key.
+    in_table, seed_idx = table.find_rows(seed_rows)
+    seed_idx = seed_idx[in_table]
+    # ``done`` marks the rows this call walks.  Keys already in
+    # ``visited`` are checked per seed here and, through ``prior``, per
+    # step below, so the set is never converted as a whole.
+    prior = None
+    if visited and seed_idx.size:
+        prior = packedmod.keys(table.packed, k)
+        seen = np.fromiter(
+            map(visited.__contains__, prior[seed_idx].tolist()),
+            dtype=bool,
+            count=seed_idx.size,
+        )
+        seed_idx = seed_idx[~seen]
+    link_arr, base_arr = table.unitig_links()
+    link = memoryview(link_arr)
+    base = memoryview(base_arr)
+    cov = memoryview(table.count_array)
+    done = bytearray(len(table))
+
+    walks: list[tuple[int, bytearray, bytearray, int, int]] = []
+    steps = 0
+    for s in seed_idx.tolist():
+        if done[s]:
+            continue
+        done[s] = 1
+        cov_sum = cov[s]
+        n = 1
+        chains = (bytearray(), bytearray())
+        for v, chain in zip((2 * s, 2 * s + 1), chains):
+            while True:
+                nxt = link[v]
+                if nxt < 0:
+                    break
+                row = nxt >> 1
+                if done[row] or (prior is not None and prior[row] in visited):
+                    break  # loop, palindromic re-entry or an earlier walk
+                done[row] = 1
+                chain.append(base[v])
+                cov_sum += cov[row]
+                n += 1
+                v = nxt
+        walks.append((s, chains[0], chains[1], cov_sum, n))
+        steps += n
+    if not walks:
         return [], 0
 
-    batch = _WalkBatch(table, np.ascontiguousarray(seed_rows[keep]))
-    batch.run()
-
+    walked = np.flatnonzero(np.frombuffer(done, dtype=np.uint8))
+    visited.update(packedmod.key_list(table.packed[walked], k))
+    starts = packedmod.unpack_to_bytes(table.packed[[w[0] for w in walks]], k)
     unitigs: list[Unitig] = []
-    steps = 0
-    for w in range(len(keep)):
-        if not batch.alive[w] or batch.start_keys[w] in visited:
-            continue  # consumed by an earlier-seeded walk
-        visited |= batch.own[w]
-        n = int(batch.n_kmers[w])
-        steps += n
+    for (_, right, left, cov_sum, n), start in zip(walks, starts):
+        codes = bytearray(3 - b for b in reversed(left))
+        codes += start
+        codes += right
         unitigs.append(
             Unitig(
-                codes=batch.codes_of(w),
-                coverage=float(batch.cov_sum[w]) / n,
+                codes=np.frombuffer(codes, dtype=np.uint8),
+                coverage=cov_sum / n,
                 n_kmers=n,
             )
         )

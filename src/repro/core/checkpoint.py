@@ -24,8 +24,9 @@ emission), substituting only the real computation — which is what makes
 the replay bit-identical AND structurally indistinguishable in traces.
 
 Durability model: records are single pickle files written atomically
-(tmp + fsync + ``os.replace``), so a kill at any instant leaves either
-the complete record or nothing.  Unreadable or version-skewed files are
+(tmp + fsync + ``os.replace`` + fsync of the directory, without which
+the rename itself may not survive a crash), so a kill at any instant
+leaves either the complete record or nothing.  Unreadable or version-skewed files are
 treated as misses and discarded.  Writes are first-one-wins.
 """
 
@@ -53,6 +54,15 @@ def checkpoint_key_id(key: Any) -> str:
     deterministic ``repr``; the id is a SHA-256 of that repr.
     """
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:40]
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make a rename inside ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclass
@@ -167,6 +177,7 @@ class CheckpointStore:
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)
+            _fsync_dir(path.parent)
         except Exception as exc:
             tmp.unlink(missing_ok=True)
             raise CheckpointError(f"cannot write checkpoint {path}: {exc}")

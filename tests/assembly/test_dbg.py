@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.assembly import packed as packedmod
 from repro.assembly.dbg import KmerTable, build_kmer_table, extract_unitigs
-from repro.assembly.kmers import canonical_kmers, kmer_counts
+from repro.assembly.kmers import (
+    canonical_kmers,
+    canonical_kmers_varlen,
+    kmer_counts,
+)
+from repro.assembly.reference_impl import (
+    legacy_build_kmer_table,
+    legacy_extract_unitigs,
+)
 from repro.seq.alphabet import encode, reverse_complement
 
 
@@ -147,3 +156,127 @@ class TestUnitigExtraction:
         unitigs, _ = extract_unitigs(t)
         for u in unitigs:
             assert u.seq in seq or reverse_complement(u.seq) in seq
+
+
+def _visited_kmers(visited: set, k: int) -> set[bytes]:
+    """Packed ``visited`` key scalars as canonical code-bytes k-mers."""
+    dtype = np.uint64 if packedmod.words_for(k) == 1 else "S16"
+    rows = packedmod.keys_to_packed(np.array(list(visited), dtype=dtype), k)
+    return set(packedmod.unpack_to_bytes(rows, k))
+
+
+@st.composite
+def _read_sets(draw):
+    """A k (odd or even, one- or two-word) and a read set mixing random
+    sequence, hairpins, cycles and homopolymer runs."""
+    k = draw(st.sampled_from((3, 4, 5, 6, 8, 11, 16, 31, 32, 33, 34, 63)))
+    dna = st.text(alphabet="ACGT", max_size=k + 40)
+    reads = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("random", "hairpin", "cycle", "homo")))
+        seq = draw(dna)
+        if kind == "hairpin":
+            seq += reverse_complement(seq)
+        elif kind == "cycle":
+            seq = (seq + "ACGT" * k)[: max(len(seq), k)]
+            seq += seq[: k - 1]
+        elif kind == "homo":
+            run = draw(st.sampled_from("ACGT")) * draw(st.integers(k, k + 20))
+            seq = seq[: len(seq) // 2] + run + seq[len(seq) // 2 :]
+        reads += [seq] * draw(st.integers(1, 3))
+    return k, reads
+
+
+class TestLegacyDifferential:
+    """Property-based differential test against the frozen sequential
+    walker: unitigs, steps and the shared ``visited`` set must agree."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _read_sets(),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_sharded_walks_match_legacy(self, case, n_ranks, seed, as_rows):
+        k, reads = case
+        counts = kmer_counts(canonical_kmers_varlen(reads, k))
+        t_new = build_kmer_table(k, counts)
+        t_ref = legacy_build_kmer_table(k, counts)
+        # Random rank of every k-mer, walked rank by rank in a random
+        # order, like Ray/ABySS's per-rank seed shards.
+        kmers = sorted(counts)
+        rng = np.random.default_rng(seed)
+        owner = rng.integers(0, n_ranks, size=len(kmers))
+        # Some runs start from a visited set that already holds k-mers
+        # (owner -1) no walk may enter.
+        if seed % 3 == 0:
+            owner[rng.random(len(kmers)) < 0.2] = -1
+        premarked = [km for km, o in zip(kmers, owner) if o == -1]
+        vis_ref = set(premarked)
+        vis_new = set(
+            packedmod.key_list(
+                packedmod.pack(
+                    np.frombuffer(b"".join(premarked), dtype=np.uint8).reshape(
+                        len(premarked), k
+                    )
+                ),
+                k,
+            )
+        )
+        for r in rng.permutation(n_ranks).tolist():
+            shard = [km for km, o in zip(kmers, owner) if o == r]
+            if as_rows:
+                mat = np.frombuffer(b"".join(shard), dtype=np.uint8)
+                seeds = packedmod.pack(mat.reshape(len(shard), k))
+            else:
+                seeds = iter(shard)
+            got = extract_unitigs(t_new, seeds=seeds, visited=vis_new)
+            ref = legacy_extract_unitigs(t_ref, iter(shard), vis_ref)
+            assert got[1] == ref[1]
+            assert got[0] == ref[0]
+        assert _visited_kmers(vis_new, k) == vis_ref
+        # The unseeded whole-table walk matches too.
+        got = extract_unitigs(t_new)
+        ref = legacy_extract_unitigs(t_ref)
+        assert got[1] == ref[1]
+        assert got[0] == ref[0]
+
+
+class TestLinkCacheInvalidation:
+    """The successor arrays cached by the first extraction must not
+    survive a change to the table."""
+
+    READS = [
+        "CTACTGGGGCACATCGTTCCTGTTTAGAGT",
+        "CACATCGTTCCTGAAAGGCT",
+        "GGGGCACATCGTTCC",
+    ]
+
+    def _counts(self, reads, k=7):
+        return kmer_counts(canonical_kmers_varlen(reads, k))
+
+    def test_drop_below(self):
+        counts = self._counts(self.READS)
+        t = build_kmer_table(7, counts)
+        before = extract_unitigs(t)
+        assert t.drop_below(2) > 0
+        fresh = build_kmer_table(
+            7, {km: c for km, c in counts.items() if c >= 2}
+        )
+        after = extract_unitigs(t)
+        assert after == extract_unitigs(fresh)
+        assert after != before
+
+    def test_add_counts(self):
+        counts = self._counts(self.READS[:1])
+        extra = self._counts(self.READS[1:])
+        t = build_kmer_table(7, counts)
+        before = extract_unitigs(t)
+        t.add_counts(extra)
+        merged = dict(counts)
+        for km, c in extra.items():
+            merged[km] = merged.get(km, 0) + c
+        after = extract_unitigs(t)
+        assert after == extract_unitigs(build_kmer_table(7, merged))
+        assert after != before

@@ -140,6 +140,26 @@ class TestKeysAndOrder:
         ints = packed.packed_to_ints(rows, k)
         assert np.array_equal(packed.ints_to_packed(ints, k), rows)
 
+    @pytest.mark.parametrize("k", BOUNDARY_KS)
+    def test_find_rows_matches_key_searchsorted(self, k):
+        rng = np.random.default_rng(k + 43)
+        win = _random_windows(rng, 300, k)
+        # Few distinct first halves: long runs of rows sharing word 0.
+        win[:, : k // 2] = win[rng.integers(0, 3, size=300), : k // 2]
+        rows = packed.pack(win)
+        key_arr = packed.keys(rows, k)
+        table, first = np.unique(key_arr, return_index=True)
+        table_rows = rows[first]
+        query = np.concatenate(
+            [rows, packed.pack(_random_windows(rng, 100, k))]
+        )[rng.permutation(400)]
+        found, idx = packed.find_rows(table_rows, query)
+        want = np.searchsorted(table, packed.keys(query, k))
+        want_found = np.isin(packed.keys(query, k), table)
+        assert np.array_equal(found, want_found)
+        assert np.array_equal(idx[found], want[want_found])
+        assert not packed.find_rows(table_rows[:0], query)[0].any()
+
     @pytest.mark.parametrize("k", (31, 33))
     def test_extend_right_left_match_byte_shifts(self, k):
         rng = np.random.default_rng(k)

@@ -7,7 +7,9 @@ cost — because replayed units travel the identical dispatch/SGE/pricing
 path with only the computation substituted.
 """
 
+import os
 import pickle
+import stat
 
 import pytest
 
@@ -59,6 +61,23 @@ class TestCheckpointStore:
             ("k",), UnitCheckpoint(result=42, usage=None)
         )
         assert CheckpointStore(tmp_path).get_unit(("k",)).result == 42
+
+    def test_rename_is_synced_to_the_directory(self, tmp_path, monkeypatch):
+        # The record file is synced before the rename, and its directory
+        # after it: only then does the new entry survive a crash.
+        store = CheckpointStore(tmp_path)
+        real_fsync = os.fsync
+        synced = []
+
+        def spy(fd):
+            synced.append(
+                (stat.S_ISDIR(os.fstat(fd).st_mode), store.unit_count())
+            )
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        assert store.put_unit(("k",), UnitCheckpoint(result=1, usage=None))
+        assert synced == [(False, 0), (True, 1)]
 
     def test_corrupt_file_is_a_miss_and_removed(self, tmp_path):
         store = CheckpointStore(tmp_path)
